@@ -35,19 +35,6 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.25"))
 
 
-def bench_net_model() -> str:
-    """Network flow model for the panel sweeps (``REPRO_NET_MODEL``).
-
-    ``chunked`` (default, calibrated), ``fluid``, or ``auto`` — see
-    :mod:`repro.sim.network`.  Running a panel under ``fluid`` is how
-    the chunked-vs-fluid drift acceptance is checked at figure scale.
-    """
-    model = os.environ.get("REPRO_NET_MODEL", "chunked")
-    if model not in ("chunked", "fluid", "auto"):
-        raise ValueError(f"REPRO_NET_MODEL must be chunked|fluid|auto, got {model!r}")
-    return model
-
-
 def bench_jobs() -> int:
     """Worker processes per panel sweep (``REPRO_JOBS``, default 1)."""
     return max(1, int(os.environ.get("REPRO_JOBS", "1")))
@@ -81,7 +68,6 @@ def run_panel(benchmark):
                 exp_id,
                 scale=bench_scale(),
                 client_counts=bench_counts(exp_id),
-                net_model=bench_net_model(),
                 jobs=bench_jobs(),
                 cache=bench_cache(),
             )
@@ -97,13 +83,11 @@ def run_panel(benchmark):
         # cost to *simulate*, alongside what they measured.
         cells = list(res.raw.values())
         engine = {
-            "net_model": bench_net_model(),
             "events_scheduled": sum(c.engine["events_scheduled"] for c in cells),
             "events_processed": sum(c.engine["events_processed"] for c in cells),
             "peak_heap": max(c.engine["peak_heap"] for c in cells),
             "wall_seconds": sum(c.engine["wall_seconds"] for c in cells),
             "flows_chunked": sum(c.engine["flows_chunked"] for c in cells),
-            "flows_fluid": sum(c.engine["flows_fluid"] for c in cells),
         }
         RESULTS_DIR.mkdir(exist_ok=True)
         with open(RESULTS_DIR / f"{exp_id}.json", "w") as fh:

@@ -1,30 +1,20 @@
-"""Perf smoke: the fluid network model must actually be faster.
+"""Perf smoke: the pinned large-transfer cell's throughput must not drift.
 
 Runs one fixed cell — 8-client IOR write, 16 MB blocks, separate files,
-NFSv4 — under both network models and fails if
+NFSv4 — and fails if its aggregate throughput drifts > 5 % from the
+checked-in baseline (``engine_perf_baseline.json``).  Simulated
+throughput is deterministic for a fixed config, so this is a tight
+regression tripwire on the network and protocol timing.
 
-* the fluid model is not >= 3x cheaper in engine wall-seconds on this
-  large-transfer config, or
-* either model's aggregate throughput drifts > 5 % from the checked-in
-  baseline (``engine_perf_baseline.json``), or
-* the two models disagree with each other by > 5 %.
-
-Why this config: the fluid path removes per-chunk *network* events, so
-the gate must run where those dominate.  NFSv4 moves every byte across
-the wire twice (client -> server, then the server's parallel-FS client
--> storage nodes) with large 16 MB RPCs and flow units, so the chunked
-event bill is ~2 x 64 chunks per block while the protocol event bill
-stays per-RPC.  The paper-calibrated figure configs (2 MB wsize,
-256 KB flow units) are protocol-event-bound instead — there the fluid
-model is accuracy-neutral but only ~1.2x cheaper, which is why the
-speedup gate lives on this pinned config and not on the figure sweeps.
+Why this config: NFSv4 moves every byte across the wire twice (client
+-> server, then the server's parallel-FS client -> storage nodes) with
+large 16 MB RPCs and flow units, so the cell's event bill is dominated
+by per-chunk network events rather than per-RPC protocol events.
 
 The config ignores the ``REPRO_*`` knobs so the baseline stays
-comparable across runs and machines: simulated throughput is
-deterministic for a fixed config, and the wall-second *ratio* is
-machine-independent to first order even though the absolute wall time
-is not.  Results land in ``benchmarks/results/engine_perf.json`` for
-the CI artifact trail.
+comparable across runs and machines.  Results (throughput plus
+``EngineStats`` and wall time) land in
+``benchmarks/results/engine_perf.json`` for the CI artifact trail.
 """
 
 import json
@@ -39,18 +29,17 @@ MB = 1024 * 1024
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE = pathlib.Path(__file__).parent / "engine_perf_baseline.json"
 
-#: Pinned config: large enough that the chunked event storm dominates
-#: (the regime the fluid model exists for), small enough for CI.
+#: Pinned config: large enough that per-chunk network events dominate,
+#: small enough for CI.
 SCALE = 0.2  # 100 MB per client
 N_CLIENTS = 8
 ARCH = "nfsv4"
 BLOCK = 16 * MB
 
-MIN_SPEEDUP = 3.0
 MAX_DRIFT = 0.05
 
 
-def run_model(model: str):
+def run_pinned_cell():
     workload = IorWorkload(
         op="write", block_size=BLOCK, shared_file=False, scale=SCALE
     )
@@ -58,7 +47,6 @@ def run_model(model: str):
         ARCH,
         workload,
         N_CLIENTS,
-        net_model=model,
         nfs_overrides={"wsize": BLOCK, "rsize": BLOCK},
         pvfs_overrides={"flow_unit": BLOCK, "stripe_size": BLOCK},
     )
@@ -70,11 +58,8 @@ def run_model(model: str):
     }
 
 
-def test_fluid_speedup_and_throughput_drift():
-    chunked = run_model("chunked")
-    fluid = run_model("fluid")
-    speedup = chunked["wall_seconds"] / fluid["wall_seconds"]
-    event_ratio = chunked["events_processed"] / fluid["events_processed"]
+def test_chunked_throughput_baseline():
+    chunked = run_pinned_cell()
     report = {
         "config": {
             "arch": ARCH,
@@ -83,38 +68,19 @@ def test_fluid_speedup_and_throughput_drift():
             "scale": SCALE,
         },
         "chunked": chunked,
-        "fluid": fluid,
-        "wall_speedup": speedup,
-        "event_ratio": event_ratio,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / "engine_perf.json", "w") as fh:
         json.dump(report, fh, indent=2)
-    print()
-    for model, r in (("chunked", chunked), ("fluid", fluid)):
-        print(
-            f"  {model:8s} {r['aggregate_mbps']:7.1f} MB/s  "
-            f"{r['events_processed']:>9} events  {r['wall_seconds']:.3f}s wall"
-        )
-    print(f"  wall speedup {speedup:.1f}x, event ratio {event_ratio:.1f}x")
-
-    # Cross-model agreement: the fast path must not change the physics.
-    assert fluid["aggregate_mbps"] == pytest.approx(
-        chunked["aggregate_mbps"], rel=MAX_DRIFT
+    print(
+        f"\n  chunked  {chunked['aggregate_mbps']:7.1f} MB/s  "
+        f"{chunked['events_processed']:>9} events  "
+        f"{chunked['wall_seconds']:.3f}s wall"
     )
-    # Drift against the checked-in baseline (simulated throughput is
-    # deterministic, so this is a tight regression tripwire).
-    baseline = json.loads(BASELINE.read_text())
-    for model, r in (("chunked", chunked), ("fluid", fluid)):
-        expect = baseline[model]["aggregate_mbps"]
-        assert r["aggregate_mbps"] == pytest.approx(expect, rel=MAX_DRIFT), (
-            f"{model} throughput drifted >5% from baseline "
-            f"({r['aggregate_mbps']:.1f} vs {expect:.1f} MB/s)"
-        )
-    # The point of the fast path, enforced: >= 3x cheaper to simulate.
-    assert speedup >= MIN_SPEEDUP, (
-        f"fluid model only {speedup:.1f}x faster than chunked "
-        f"(need >= {MIN_SPEEDUP}x)"
+    expect = json.loads(BASELINE.read_text())["chunked"]["aggregate_mbps"]
+    assert chunked["aggregate_mbps"] == pytest.approx(expect, rel=MAX_DRIFT), (
+        f"throughput drifted >5% from baseline "
+        f"({chunked['aggregate_mbps']:.1f} vs {expect:.1f} MB/s)"
     )
 
 
@@ -123,8 +89,8 @@ def test_observability_is_pay_for_what_you_use():
 
     * With no registry or collector installed (the default — every run
       above), the instrumented code paths must not change the simulated
-      outcome; the baseline-drift gate in the previous test is the
-      wall-clock guard for that path.
+      outcome; the baseline-drift gate in the previous test guards
+      that path.
     * With metrics + tracing on, the simulation must compute the exact
       same physics (makespan, bytes, throughput): observation reads the
       run, it never perturbs it.  Wall overhead must stay bounded.
@@ -139,9 +105,7 @@ def test_observability_is_pay_for_what_you_use():
 
     def run(**obs_kw):
         t0 = time.perf_counter()
-        res = run_cell(
-            ARCH, IorWorkload(**workload_kw), 4, net_model="fluid", **obs_kw
-        )
+        res = run_cell(ARCH, IorWorkload(**workload_kw), 4, **obs_kw)
         return res, time.perf_counter() - t0
 
     plain, wall_off = run()

@@ -210,16 +210,11 @@ def run_experiment(
     scale: float = 0.1,
     client_counts: list[int] | None = None,
     systems: list[str] | None = None,
-    net_model: str = "chunked",
     jobs: int = 1,
     cache=None,
     progress=None,
 ) -> ExperimentResult:
     """Run one figure panel's sweep and collect the metric values.
-
-    ``net_model`` selects the network flow model for every cell
-    (``"chunked"`` | ``"fluid"`` | ``"auto"``); the calibrated figures
-    use the default ``"chunked"``.
 
     ``jobs`` fans the (system, client-count) cells over that many
     worker processes via :mod:`repro.parallel`; every cell is a pure
@@ -235,10 +230,7 @@ def run_experiment(
     counts = client_counts or exp.client_counts
     chosen = systems or exp.systems
     pairs = [(system, n) for system in chosen for n in counts]
-    specs = [
-        figure_cell_spec(exp_id, system, n, scale, net_model)
-        for system, n in pairs
-    ]
+    specs = [figure_cell_spec(exp_id, system, n, scale) for system, n in pairs]
     results, report = run_jobs(specs, jobs=jobs, cache=cache, progress=progress)
     values: dict[str, dict[int, float]] = {system: {} for system in chosen}
     raw: dict[tuple[str, int], RunResult] = {}

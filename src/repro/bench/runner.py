@@ -43,9 +43,8 @@ class RunResult:
     #: ``result.trace.write_chrome_trace(path)``.
     trace: object | None = None
     #: Engine cost telemetry for the whole cell (prepare + settle +
-    #: measured phase): ``EngineStats.as_dict()`` plus the network
-    #: model and its flow counters — the numbers the fluid fast path
-    #: is judged by.
+    #: measured phase): ``EngineStats.as_dict()`` plus the network's
+    #: wire-transfer count.
     engine: dict = field(default_factory=dict)
 
     @property
@@ -82,7 +81,6 @@ def run_cell(
     pvfs_overrides: dict | None = None,
     keep_deployment: bool = False,
     measure_utilisation: bool = False,
-    net_model: str = "chunked",
     metrics: bool = False,
     sample_interval: float = 0.25,
     trace: bool = False,
@@ -103,7 +101,6 @@ def run_cell(
         net_bw=net_bw,
         nfs_overrides=nfs_overrides,
         pvfs_overrides=pvfs_overrides,
-        net_model=net_model,
     )
     tb = dep.testbed
     sim = tb.sim
@@ -203,12 +200,7 @@ def run_cell(
             "bottleneck": attribute(reports),
         }
     engine = dict(sim.stats.as_dict())
-    engine.update(
-        net_model=net_model,
-        flows_chunked=tb.network.flows_chunked,
-        flows_fluid=tb.network.flows_fluid,
-        fluid_recomputes=tb.network.fluid_recomputes,
-    )
+    engine["flows_chunked"] = tb.network.flows_chunked
     return RunResult(
         arch=arch,
         workload=workload.name,

@@ -236,9 +236,20 @@ class Model:
 
     def on_rename_error(self, client: int, old: str, new: str) -> None:
         """Either name may now hold the file (or neither, transiently):
-        both drop out of verification."""
-        for p in (old, new):
-            self._state(p).ns_uncertain = True
+        both drop out of final verification.
+
+        An outage is a pause, so the server may apply the rename after
+        the client gave up on it: reads of ``new`` may then return the
+        source's bytes.  The source's writes join the destination's
+        history as possible values, unacknowledged so they raise no
+        durability floor or read-your-writes expectation.
+        """
+        src, dst = self._state(old), self._state(new)
+        dst.writes.extend(
+            _Write(w.start, w.end, w.tag, w.client, is_trunc=w.is_trunc)
+            for w in src.writes
+        )
+        src.ns_uncertain = dst.ns_uncertain = True
         self.on_error(client, old, "rename")
 
     def on_mkdir_ack(self, client: int, path: str) -> None:

@@ -161,13 +161,12 @@ class Testbed:
         net_bw: float = GIGE,
         server_disks: tuple[int, ...] = (1, 1, 1, 1, 1, 1),
         latency: float = LATENCY,
-        net_model: str = "chunked",
         seed: int | None = None,
     ):
         if not 1 <= n_clients <= 9:
             raise ValueError("the testbed has at most nine client nodes")
         self.sim = Simulator() if seed is None else Simulator(seed=seed)
-        self.network = Network(self.sim, latency=latency, model=net_model)
+        self.network = Network(self.sim, latency=latency)
         self.server_nodes: list[Node] = []
         for i, ndisks in enumerate(server_disks):
             spec = NodeSpec(

@@ -304,16 +304,36 @@ class Nfs4Client(FileSystemClient):
                 f.state["cache"].write(s, data.slice(s - start, e - s))
                 f.state["valid"].add(s, e)
 
+    def _try_fetch_block(self, f: OpenFile, start: int, end: int):
+        """:meth:`_fetch_block`, returning its error instead of raising.
+
+        An unawaited failing process crashes the simulation.  Readahead
+        is advisory and may have nobody waiting on it: a failed block
+        stays invalid, and the reader that reaches it finds the gap and
+        demand-fetches it, which surfaces the error there.  A demand
+        read waits for all its blocks and raises the first error, so a
+        second failed block cannot escape either.
+        """
+        try:
+            yield from self._fetch_block(f, start, end)
+        except (FsError, rpc.RpcTimeout) as exc:
+            return exc
+        return None
+
     def _fetch(self, f: OpenFile, ranges: list[tuple[int, int]]):
         procs = []
         for s, e in ranges:
             pos = s
             while pos < e:
                 length = min(self.cfg.rsize, e - pos)
-                procs.append(self.sim.process(self._fetch_block(f, pos, pos + length)))
+                procs.append(
+                    self.sim.process(self._try_fetch_block(f, pos, pos + length))
+                )
                 pos += length
         if procs:
-            yield self.sim.all_of(procs)
+            for exc in (yield self.sim.all_of(procs)):
+                if exc is not None:
+                    raise exc
 
     def _extend_readahead(self, f: OpenFile, end: int) -> None:
         """Top up the prefetch pipeline to a full window beyond ``end``.
@@ -338,7 +358,7 @@ class Nfs4Client(FileSystemClient):
             pos = s
             while pos < e:
                 blk_end = min(pos + rsize, e)
-                proc = self.sim.process(self._fetch_block(f, pos, blk_end))
+                proc = self.sim.process(self._try_fetch_block(f, pos, blk_end))
                 state["ra"].append((pos, blk_end, proc))
                 state["ra_issued"].add(pos, blk_end)
                 self.readahead_issued_bytes += blk_end - pos

@@ -39,7 +39,7 @@ def observe_node(reg: MetricsRegistry, node) -> None:
     _gauge_attr(reg, f"{n}.cpu.busy_seconds", node.cpu, "busy_time")
     reg.gauge(f"{n}.cpu.queue", lambda: node.cpu.cores.queue_len)
     nic = node.nic
-    for attr in ("tx_bytes", "rx_bytes", "loopback_bytes", "flows_dropped", "flows_stranded"):
+    for attr in ("tx_bytes", "rx_bytes", "loopback_bytes", "flows_dropped"):
         _gauge_attr(reg, f"{n}.nic.{attr}", nic, attr)
     for i, disk in enumerate(node.disks):
         d = f"{n}.disk{i}"
@@ -103,10 +103,9 @@ def observe_storage_daemon(reg: MetricsRegistry, daemon) -> None:
 
 
 def observe_network(reg: MetricsRegistry, network) -> None:
-    """Network-wide flow counters (model-independent)."""
-    for attr in ("flows_completed", "flows_chunked", "flows_fluid"):
+    """Network-wide flow counters."""
+    for attr in ("flows_completed", "flows_chunked"):
         _gauge_attr(reg, f"net.{attr}", network, attr)
-    reg.gauge("net.fluid_recomputes", lambda: network.fluid_recomputes)
 
 
 def observe_engine(reg: MetricsRegistry, sim) -> None:

@@ -35,7 +35,6 @@ def figure_cell_spec(
     system: str,
     n_clients: int,
     scale: float,
-    net_model: str = "chunked",
 ) -> dict:
     """Spec for one (system, client-count) cell of figure ``exp_id``."""
     return {
@@ -44,7 +43,6 @@ def figure_cell_spec(
         "system": system,
         "n_clients": n_clients,
         "scale": scale,
-        "net_model": net_model,
     }
 
 
@@ -88,7 +86,6 @@ def _run_figure_cell(spec: dict):
         net_bw=exp.net_bw,
         nfs_overrides=exp.nfs_overrides or None,
         pvfs_overrides=exp.pvfs_overrides or None,
-        net_model=spec["net_model"],
     )
 
 

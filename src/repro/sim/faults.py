@@ -95,11 +95,9 @@ class FaultInjector:
     def nic_down(self, nic: Nic) -> None:
         """Every flow touching ``nic`` is lost until :meth:`nic_up`.
 
-        New flows are dropped at transfer start; under the fluid
-        network model, *in-flight* rate-based flows through ``nic`` are
-        also stranded on the spot (the ``Nic.down`` setter notifies the
-        solver), so both flow models expose a dead NIC the same way —
-        the flow never completes and only an RPC timeout notices.
+        Flows are dropped at transfer start: a dropped flow never
+        completes and only an RPC timeout notices.  Transfers already
+        on the wire keep their committed chunk-by-chunk schedule.
         """
         nic.down = True
         self._log(f"nic down {nic.name}")
@@ -127,8 +125,8 @@ class FaultInjector:
     def crash_node(self, node: Node, services: Iterable = ()) -> None:
         """Power-fail ``node``: NIC down, disks failed, and every
         service in ``services`` (its RpcServers/daemons) fail-stopped.
-        As with :meth:`nic_down`, in-flight fluid flows through the
-        node's NIC are stranded by the ``down`` setter."""
+        As with :meth:`nic_down`, flows through the node's NIC are lost
+        from the next transfer start on."""
         node.nic.down = True
         for disk in node.disks:
             disk.fail()

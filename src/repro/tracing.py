@@ -50,8 +50,7 @@ def engine_summary(stats: EngineStats) -> str:
 
     Pairs with :meth:`RpcTracer.summary` in benchmark reports: the RPC
     table says where simulated time went, this line says what the
-    simulation *cost* to run — the number the fluid-model fast path is
-    meant to shrink.
+    simulation *cost* to run.
     """
     rate = (
         stats.events_processed / stats.wall_seconds

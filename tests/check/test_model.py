@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.check.model import Model
-from repro.check.program import SHARED, generate, private_path
+from repro.check.program import SHARED, generate, ns_path, private_path, scratch_path
 
 
 def _model(seed=3):
@@ -50,6 +50,18 @@ class TestReadOracle:
         # ... but not after an I/O error was surfaced to that client.
         m.on_error(0, path, "fsync")
         assert m.check_read(0, path, 0, stale, 100) == []
+
+    def test_ambiguous_rename_allows_source_bytes_at_destination(self):
+        m = Model(generate(3, n_clients=2, metadata_ops=True))
+        src, dst = scratch_path(0), ns_path(m.program.ns_slot_of(0))
+        i0 = m.on_write_start(0, src, 0, 100, tag=6)
+        m.on_write_ack(src, i0)
+        m.on_rename_error(0, src, dst)
+        # The server may apply the rename after the client gave up.
+        assert m.check_read(0, dst, 0, _bytes(100, [(0, 100, 6)]), 100) == []
+        # The destination is still checked: invented bytes are caught.
+        out = m.check_read(0, dst, 0, _bytes(100, [(0, 100, 99)]), 100)
+        assert len(out) == 1 and "never written" in out[0]
 
     def test_synthetic_payload_skips_content_checks(self):
         m = _model()

@@ -10,11 +10,27 @@ Pinned regressions for the metadata bug swarm:
   used to block its truncate handler on backchannel layout recalls;
   under a NIC fault the handler outlived the client's RPC patience
   and the retransmission re-executed it.  Recalls now run detached.
+* **program 1222328495040 + nfsv4** — a read whose blocks all time out
+  under a long server outage: the first failed block failed the read,
+  and the next one, with nobody left waiting, crashed the simulation.
+  Block fetches (demand and readahead) now return their errors.
+* **program 1368426741016, minimised, + nfsv4** — a rename that times
+  out under an outage may still be applied when the server resumes;
+  the read oracle used to reject the source's bytes at the
+  destination as never written.
 """
 
 import pytest
 
-from repro.check.program import Program, generate, ns_path, scratch_path
+from repro.check.program import (
+    FaultSpec,
+    Op,
+    Program,
+    generate,
+    ns_path,
+    private_path,
+    scratch_path,
+)
 from repro.check.runner import (
     buggy_truncate_factory,
     run_episode,
@@ -120,6 +136,43 @@ class TestPinnedRegressions:
         # *completed* executions).
         res = run_episode(generate(32, metadata_ops=True), "pnfs-3tier")
         assert res.ok, res.violations
+
+
+    def test_program_1222328495040_read_timeouts_do_not_crash(self):
+        # Every block of one read times out under a 4+ s outage; the
+        # read must fail on its own, not crash the simulation.
+        program = generate(
+            1222328495040, n_clients=3, ops_per_client=10, metadata_ops=True
+        )
+        res = run_episode(program, "nfsv4")
+        assert res.ok, res.violations
+
+    def test_ambiguous_rename_source_bytes_readable_at_destination(self):
+        # Program 1368426741016 minimised: client 2 writes its scratch
+        # file, renames it to its namespace slot while the NFSv4 server
+        # is out (the rename times out, but the server applies it when
+        # it resumes), then reads the slot and sees the scratch bytes.
+        outage = FaultSpec("outage", target=5, start=0.0219423, duration=4.2797383)
+        ops = [
+            Op("write", scratch_path(2), offset=2036, length=11497, tag=6),
+            Op("write", private_path(2), offset=2442, length=7293, tag=7),
+            Op("rename", scratch_path(2), dest=ns_path(0)),
+            Op("read", ns_path(0), offset=1537, length=3505),
+        ]
+        program = Program(
+            seed=1368426741016,
+            n_clients=3,
+            chunk=8192,
+            shared_size=73728,
+            private_size=16384,
+            ops=[[], [], ops],
+            faults=[outage],
+            metadata=True,
+        )
+        res = run_episode(program, "nfsv4")
+        assert res.ok, res.violations
+        # The read's bytes were checked, not skipped.
+        assert res.stats["bytes_checked"] == 3505
 
 
 class TestShrinker:

@@ -23,10 +23,9 @@ def build_cluster(
     nic_bw: float = 117e6,
     latency: float = 60e-6,
     disk: DiskSpec | None = None,
-    net_model: str = "chunked",
 ) -> MiniCluster:
     sim = Simulator()
-    net = Network(sim, latency=latency, model=net_model)
+    net = Network(sim, latency=latency)
     disk = disk or DiskSpec(read_bw=55e6, write_bw=24e6, positioning=0.004)
     storage = [
         Node(

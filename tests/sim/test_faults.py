@@ -5,8 +5,11 @@ import pytest
 from repro import rpc
 from repro.sim import DiskFailed, FaultInjector, Network, Simulator
 from repro.sim.faults import FaultInjector as DirectImport  # noqa: F401
+from repro.vfs import Payload
 
 from tests.conftest import build_cluster, drive
+
+MB = 1024 * 1024
 
 
 class TestSchedules:
@@ -117,6 +120,46 @@ class TestNicFaults:
         dropped = run(1234)
         assert dropped == run(1234)  # same seed, same losses
         assert 0 < dropped < 40  # the coin actually flips both ways
+
+    def test_nic_death_mid_rpc_raises_timeout(self):
+        """Kill the server NIC mid-transfer: the RPC retry layer must
+        surface RpcTimeout."""
+        cluster = build_cluster()
+        sim = cluster.sim
+        server = rpc.RpcServer(
+            sim, cluster.storage[0], "svc", rpc.RpcCosts(), threads=2
+        )
+
+        def sink(args, payload):
+            return {"ok": True}, None
+            yield  # pragma: no cover
+
+        server.register("put", sink)
+        inj = FaultInjector(sim)
+        # A 50 MB payload takes ~0.45 s on the wire; cut it at 0.1 s.
+        inj.at(0.1, lambda: inj.nic_down(cluster.storage[0].nic))
+        policy = rpc.RpcPolicy(timeout=0.3, max_retries=1, backoff=1.0)
+
+        def scenario():
+            try:
+                yield from rpc.call(
+                    cluster.clients[0],
+                    server,
+                    "put",
+                    {},
+                    payload=Payload.synthetic(50 * MB),
+                    policy=policy,
+                )
+            except rpc.RpcTimeout as exc:
+                return exc, sim.now
+
+        exc, gave_up = drive(sim, scenario())
+        assert isinstance(exc, rpc.RpcTimeout)
+        assert exc.attempts == 2
+        # 0.3 s first patience + 0.3 s retry patience.
+        assert gave_up == pytest.approx(0.6, abs=0.05)
+        # The retransmission found the NIC already down at flow start.
+        assert cluster.clients[0].nic.flows_dropped >= 1
 
 
 class TestNodeCrash:
